@@ -59,7 +59,7 @@ fn crashsim_sanity(records: u64, ops: u64, threads: usize) {
     let (rt2, recovery) = register_kvstore(JnvmBuilder::new())
         .open(Arc::clone(&pmem))
         .expect("recovery");
-    let be2 = JnvmBackend::open(&rt2, false).expect("backend reopen");
+    let be2 = JnvmBackend::open(&rt2, false, 1).expect("backend reopen");
     assert_eq!(
         be2.len() as u64,
         records,

@@ -30,22 +30,24 @@
 //!    claims and traces the target. (Were targets the work unit, a single
 //!    wide parent — e.g. a million-element ref array — would serialize a
 //!    million validity reads in the worker that traced it.) Visit-once is
-//!    decided by the atomic [`jnvm_heap::LiveBitmap`] (chained objects) or
-//!    a sharded claim table (pooled objects), so each object is traced and
-//!    `recover`-hooked by exactly one worker; every reference slot is
-//!    yielded by exactly one parent's single trace, hence nullifications
-//!    never race.
+//!    decided by an atomic `fetch_or` in a [`jnvm_heap::LiveBitmap`]: the
+//!    block bitmap for chained objects, a word-granular slot bitmap
+//!    ([`jnvm_heap::PoolManager::new_slot_bitmap`]) for pooled ones. So
+//!    each object is traced and `recover`-hooked by exactly one worker;
+//!    every reference slot is yielded by exactly one parent's single
+//!    trace, hence nullifications never race.
 //! 3. **Sweep** — pool-slot and free-queue rebuilds partition the block
-//!    range per worker (see the `jnvm-heap` crate).
+//!    range per worker (see the `jnvm-heap` crate), reading the two
+//!    bitmaps the mark left.
 //!
 //! Every worker ends with a `pfence` of its own persistence domain; the
 //! caller closes recovery with `psync`.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use jnvm_heap::{LiveBitmap, CLASS_ID_POOL};
+use jnvm_heap::{LiveBitmap, PoolManager, CLASS_ID_POOL};
 use parking_lot::Mutex;
 
 use crate::error::JnvmError;
@@ -201,10 +203,6 @@ fn object_valid(rt: &Jnvm, addr: u64) -> bool {
 // The work-stealing mark traversal.
 // ----------------------------------------------------------------------
 
-/// Shards of the pooled-object claim table. Pooled visit-once cannot use
-/// the block bitmap (many pooled objects share one block), so claims go
-/// through sharded hash sets keyed by slot address.
-const CLAIM_SHARDS: usize = 64;
 /// Local stack size beyond which a worker spills half to the overflow.
 const SPILL_THRESHOLD: usize = 256;
 /// Addresses a starved worker steals from the overflow at once.
@@ -213,8 +211,14 @@ const STEAL_BATCH: usize = 128;
 struct MarkShared<'a> {
     rt: &'a Jnvm,
     bitmap: &'a LiveBitmap,
-    /// Claimed pooled slots, sharded by address.
-    pool_claims: Vec<Mutex<HashSet<u64>>>,
+    /// Claimed pooled slots, one bit per heap word. Pooled visit-once
+    /// cannot use the block bitmap: many pooled objects share one block.
+    slot_claims: &'a LiveBitmap,
+    /// Claimed pooled slots past the end of `slot_claims`. The persistent
+    /// bump pointer is written back lazily, so after a crash a reachable
+    /// pool block can lie past it; such claims are rare and, like their
+    /// blocks, outside the pool sweep.
+    late_claims: Mutex<BTreeSet<u64>>,
     /// Spilled work (reference-slot addresses) any starved worker may
     /// steal.
     overflow: Mutex<Vec<u64>>,
@@ -232,8 +236,13 @@ impl MarkShared<'_> {
     fn claim(&self, addr: u64) -> bool {
         let heap = self.rt.heap();
         if self.rt.pools().is_pooled_addr(addr) {
-            let shard = (addr as usize >> 3) % CLAIM_SHARDS;
-            if !self.pool_claims[shard].lock().insert(addr) {
+            let bit = PoolManager::slot_bit(addr);
+            let fresh = if bit < self.slot_claims.len() {
+                self.slot_claims.mark(bit)
+            } else {
+                self.late_claims.lock().insert(addr)
+            };
+            if !fresh {
                 return false;
             }
             self.bitmap.mark(heap.block_of_addr(addr));
@@ -417,6 +426,7 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
     let heap = rt.heap();
     let t_mark = Instant::now();
     let bitmap = heap.new_bitmap();
+    let slot_claims = rt.pools().new_slot_bitmap();
 
     // Roots: class table, root map, log directory (whose tracer yields the
     // logs). Root slots are written once at format time; all three exist.
@@ -428,7 +438,8 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
     let shared = MarkShared {
         rt,
         bitmap: &bitmap,
-        pool_claims: (0..CLAIM_SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
+        slot_claims: &slot_claims,
+        late_claims: Mutex::new(BTreeSet::new()),
         overflow: Mutex::new(Vec::new()),
         active: AtomicUsize::new(nworkers),
         aborted: AtomicBool::new(false),
@@ -464,14 +475,8 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
     report.live_blocks = bitmap.marked_count();
     report.mark_time = t_mark.elapsed();
 
-    let live_slots: HashSet<u64> = shared
-        .pool_claims
-        .iter()
-        .flat_map(|s| s.lock().iter().copied().collect::<Vec<u64>>())
-        .collect();
-
     let t_sweep = Instant::now();
-    let pool_device = rt.pools().rebuild_parallel(&bitmap, &live_slots, threads);
+    let pool_device = rt.pools().rebuild_parallel(&bitmap, &slot_claims, threads);
     let (freed, queue_device) = heap.rebuild_free_queue_parallel(&bitmap, threads);
     report.freed_blocks = freed;
     report.modeled_sweep_time = pool_device.iter().max().copied().unwrap_or_default()
@@ -484,11 +489,11 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     let heap = rt.heap();
     let t_mark = Instant::now();
     let bitmap = heap.new_bitmap();
+    let slot_claims = rt.pools().new_slot_bitmap();
 
-    // Pass 1 (read-only, partitioned): find live pool slots and valid
-    // masters; mark pool blocks with at least one live slot.
-    let scan_chunk = |lo: u64, hi: u64| -> (HashSet<u64>, Vec<u64>) {
-        let mut live_slots: HashSet<u64> = HashSet::new();
+    // Pass 1 (read-only on the device, partitioned): claim live pool
+    // slots, mark pool blocks with at least one, and list valid masters.
+    let scan_chunk = |lo: u64, hi: u64| -> Vec<u64> {
         let mut masters: Vec<u64> = Vec::new();
         for idx in lo..hi {
             let h = heap.read_header(idx);
@@ -496,7 +501,7 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
                 let mut any_live = false;
                 rt.pools().scan_block_slots(idx, |slot, mini| {
                     if mini.id != 0 && mini.valid {
-                        live_slots.insert(slot);
+                        slot_claims.mark(PoolManager::slot_bit(slot));
                         any_live = true;
                     }
                 });
@@ -507,11 +512,10 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
                 masters.push(idx);
             }
         }
-        (live_slots, masters)
+        masters
     };
     let chunks = jnvm_heap::par::partition_range(heap.data_start(), heap.scan_end(), threads);
-    type ScanOut = (Vec<(HashSet<u64>, Vec<u64>)>, Vec<Duration>);
-    let (scanned, scan_device): ScanOut =
+    let (master_lists, scan_device): (Vec<Vec<u64>>, Vec<Duration>) =
         if chunks.len() <= 1 {
             let before = jnvm_pmem::thread_charged_ns();
             let out: Vec<_> = chunks.into_iter().map(|(lo, hi)| scan_chunk(lo, hi)).collect();
@@ -523,17 +527,11 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
                 .into_iter()
                 .unzip()
         };
-    let mut live_slots: HashSet<u64> = HashSet::new();
-    let mut master_lists: Vec<Vec<u64>> = Vec::new();
-    for (slots, masters) in scanned {
-        report.live_objects += masters.len() as u64;
-        live_slots.extend(slots);
-        master_lists.push(masters);
-    }
+    report.live_objects = master_lists.iter().map(|m| m.len() as u64).sum();
 
     // Pass 2 (read-only, partitioned): mark every kept master's chain.
     let mut chain_device: Vec<Duration> = Vec::new();
-    if master_lists.iter().map(|m| m.len()).sum::<usize>() > 0 {
+    if report.live_objects > 0 {
         let mark_chunk = |masters: Vec<u64>| {
             for m in masters {
                 for b in heap.chain_blocks(m) {
@@ -560,7 +558,7 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     report.mark_time = t_mark.elapsed();
 
     let t_sweep = Instant::now();
-    let pool_device = rt.pools().rebuild_parallel(&bitmap, &live_slots, threads);
+    let pool_device = rt.pools().rebuild_parallel(&bitmap, &slot_claims, threads);
     let (freed, queue_device) = heap.rebuild_free_queue_parallel(&bitmap, threads);
     report.freed_blocks = freed;
     report.modeled_sweep_time = pool_device.iter().max().copied().unwrap_or_default()

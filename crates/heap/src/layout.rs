@@ -30,7 +30,11 @@ pub(crate) const SB_MAGIC: u64 = 0;
 pub(crate) const SB_VERSION: u64 = 8;
 pub(crate) const SB_BLOCK_SIZE: u64 = 12;
 pub(crate) const SB_NBLOCKS: u64 = 16;
-pub(crate) const SB_BUMP: u64 = 24;
+/// Superblock offset of the persistent bump pointer: the index of the
+/// first never-allocated block. It is written back lazily (`pwb`, no
+/// fence), so after a crash it may lag the highest reachable block;
+/// recovery repairs it.
+pub const SB_BUMP: u64 = 24;
 pub(crate) const SB_DATA_START: u64 = 32;
 pub(crate) const SB_ROOT_SLOTS: u64 = 40;
 pub(crate) const ROOT_SLOT_COUNT: u64 = 8;

@@ -37,7 +37,7 @@ pub use alloc::{BlockHeap, HeapConfig, HeapStats};
 pub use error::HeapError;
 pub use layout::{
     BlockHeader, CLASS_ID_MAX, CLASS_ID_POOL, FIRST_USER_CLASS_ID, HEADER_BYTES, NULL_BLOCK,
-    SUPERBLOCK_BYTES,
+    SB_BUMP, SUPERBLOCK_BYTES,
 };
 pub use pool::{PoolManager, POOL_SLOT_CLASSES};
 pub use scan::LiveBitmap;

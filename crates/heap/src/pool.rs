@@ -20,7 +20,6 @@
 //! which is never block-aligned — that is how the runtime tells pooled
 //! references and block references apart.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -199,27 +198,41 @@ impl PoolManager {
         Ok((ci, off / Self::slot_total(payload)))
     }
 
-    /// Recovery (§4.1.3 extension for pools): for every *marked* pool block,
-    /// keep slots in `live_slots`, persistently clear the rest and rebuild
-    /// the free-slot queues. Unmarked pool blocks are reclaimed wholesale by
-    /// [`BlockHeap::rebuild_free_queue`]. Call this *before* that.
-    pub fn rebuild(&self, bitmap: &LiveBitmap, live_slots: &HashSet<u64>) {
-        let _ = self.rebuild_parallel(bitmap, live_slots, 1);
+    /// A pooled-slot claim bitmap for recovery: one bit per 8-byte word of
+    /// the heap's allocated prefix `[0, block_addr(scan_end))`, indexed by
+    /// [`PoolManager::slot_bit`]. Every mini-header is word aligned, so each
+    /// slot owns a distinct bit, and sizing to the prefix (not the device)
+    /// keeps the bitmap proportional to what was ever allocated.
+    pub fn new_slot_bitmap(&self) -> LiveBitmap {
+        LiveBitmap::new(self.heap.block_addr(self.heap.scan_end()) / HEADER_BYTES)
     }
 
-    /// [`PoolManager::rebuild`] with the pool-block scan partitioned over
-    /// `threads` sweep workers. Slot clears are idempotent (a crashed sweep
-    /// redone from scratch converges), and each worker `pfence`s its own
-    /// persistence domain before exiting. Free slots enter the queues in
-    /// ascending block order regardless of the thread count, so the queue
-    /// contents match the sequential pass exactly.
+    /// The bit of the slot whose mini-header is at `addr` in a
+    /// [`PoolManager::new_slot_bitmap`] bitmap.
+    pub fn slot_bit(addr: u64) -> u64 {
+        addr / HEADER_BYTES
+    }
+
+    /// Recovery (§4.1.3 extension for pools): for every *marked* pool block,
+    /// keep the slots claimed in `live_slots` (see
+    /// [`PoolManager::new_slot_bitmap`]), persistently clear the rest and
+    /// rebuild the free-slot queues. Unmarked pool blocks are reclaimed
+    /// wholesale by [`BlockHeap::rebuild_free_queue`]; call this *before*
+    /// that.
+    ///
+    /// The pool-block scan is partitioned over `threads` sweep workers.
+    /// Slot clears are idempotent (a crashed sweep redone from scratch
+    /// converges), and each worker `pfence`s its own persistence domain
+    /// before exiting. Free slots enter the queues in ascending block order
+    /// regardless of the thread count, so the queue contents match the
+    /// sequential pass exactly.
     ///
     /// Returns each sweep worker's modeled device time (see
     /// [`crate::par::run_workers_timed`]).
     pub fn rebuild_parallel(
         &self,
         bitmap: &LiveBitmap,
-        live_slots: &HashSet<u64>,
+        live_slots: &LiveBitmap,
         threads: usize,
     ) -> Vec<Duration> {
         let pmem = self.heap.pmem();
@@ -241,7 +254,7 @@ impl PoolManager {
                 let nslots = pmem.read_u32(base + 12) as u64;
                 for i in 0..nslots {
                     let slot = base + 16 + i * Self::slot_total(payload);
-                    if live_slots.contains(&slot) {
+                    if live_slots.is_marked(Self::slot_bit(slot)) {
                         continue;
                     }
                     if pmem.read_u64(slot) != 0 {
@@ -339,8 +352,8 @@ mod tests {
         // 16-byte payloads: slot total 24, (248-8)/24 = 10 per block.
         let addrs: Vec<u64> = (0..10).map(|_| pm.alloc(20, 10).unwrap()).collect();
         assert_eq!(heap.stats().blocks_allocated - before, 1);
-        let blocks: HashSet<u64> = addrs.iter().map(|a| heap.block_of_addr(*a)).collect();
-        assert_eq!(blocks.len(), 1);
+        let block = heap.block_of_addr(addrs[0]);
+        assert!(addrs.iter().all(|a| heap.block_of_addr(*a) == block));
         // 11th allocation opens a second block.
         pm.alloc(20, 10).unwrap();
         assert_eq!(heap.stats().blocks_allocated - before, 2);
@@ -422,9 +435,9 @@ mod tests {
         let pm2 = PoolManager::new(Arc::clone(&heap));
         let bm = heap.new_bitmap();
         bm.mark(heap.block_of_addr(live));
-        let mut live_slots = HashSet::new();
-        live_slots.insert(live);
-        pm2.rebuild(&bm, &live_slots);
+        let live_slots = pm2.new_slot_bitmap();
+        live_slots.mark(PoolManager::slot_bit(live));
+        pm2.rebuild_parallel(&bm, &live_slots, 1);
 
         assert!(pm2.read_mini(live).valid);
         assert_eq!(heap.pmem().read_u64(dead), 0, "dead slot cleared");

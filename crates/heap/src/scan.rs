@@ -1,4 +1,10 @@
-//! The volatile liveness bitmap used by the recovery procedure (§4.1.3).
+//! The volatile liveness bitmaps used by the recovery procedure (§4.1.3).
+//!
+//! Recovery keeps two: one bit per **block** (live blocks, consumed by the
+//! free-queue rebuild) and one bit per 8-byte **word** of the allocated
+//! prefix (claimed pooled slots, see [`crate::PoolManager::new_slot_bitmap`],
+//! consumed by the pool-slot sweep). Both are this type; only the meaning
+//! of a bit index differs.
 //!
 //! The bitmap is **striped and atomic** so the parallel recovery traversal
 //! can mark from many worker threads without locks: the bit words are
@@ -13,8 +19,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Bit words per stripe: 1024 words = 65 536 blocks = 16 MiB of heap per
-/// stripe at the default 256-B block size.
+/// Bit words per stripe: 1024 words = 65 536 bits = 16 MiB of heap per
+/// stripe for a block bitmap at the default 256-B block size, 512 KiB for
+/// a word-granular slot bitmap.
 const STRIPE_WORDS: usize = 1024;
 
 /// Per-stripe bookkeeping, padded onto its own cache line so concurrent
@@ -22,38 +29,41 @@ const STRIPE_WORDS: usize = 1024;
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Stripe {
-    /// Blocks marked within this stripe.
+    /// Bits marked within this stripe.
     marked: AtomicU64,
-    /// `highest marked block index + 1` within this stripe; 0 = none.
+    /// `highest marked bit index + 1` within this stripe; 0 = none.
     highest_plus1: AtomicU64,
 }
 
-/// One bit per block; built during the recovery traversal, consumed by
-/// [`crate::BlockHeap::rebuild_free_queue`].
+/// An atomic bitmap built during the recovery traversal. With one bit per
+/// block ([`crate::BlockHeap::new_bitmap`]) it is consumed by
+/// [`crate::BlockHeap::rebuild_free_queue`]; with one bit per 8-byte word
+/// ([`crate::PoolManager::new_slot_bitmap`]) it records claimed pooled
+/// slots for [`crate::PoolManager::rebuild_parallel`].
 #[derive(Debug)]
 pub struct LiveBitmap {
     bits: Vec<AtomicU64>,
     stripes: Vec<Stripe>,
-    nblocks: u64,
+    nbits: u64,
 }
 
 impl LiveBitmap {
-    /// Create an all-clear bitmap covering `nblocks` blocks.
-    pub fn new(nblocks: u64) -> LiveBitmap {
-        let words = nblocks.div_ceil(64) as usize;
+    /// Create an all-clear bitmap of `nbits` bits.
+    pub fn new(nbits: u64) -> LiveBitmap {
+        let words = nbits.div_ceil(64) as usize;
         let nstripes = words.div_ceil(STRIPE_WORDS).max(1);
         LiveBitmap {
             bits: (0..words).map(|_| AtomicU64::new(0)).collect(),
             stripes: (0..nstripes).map(|_| Stripe::default()).collect(),
-            nblocks,
+            nbits,
         }
     }
 
-    /// Mark block `idx` live. Returns `true` if it was not marked before.
-    /// Safe to call concurrently from any number of threads; a block raced
+    /// Mark bit `idx` live. Returns `true` if it was not marked before.
+    /// Safe to call concurrently from any number of threads; a bit raced
     /// by several markers reports `true` to exactly one of them.
     pub fn mark(&self, idx: u64) -> bool {
-        assert!(idx < self.nblocks, "block {idx} out of bitmap range");
+        assert!(idx < self.nbits, "bit {idx} out of bitmap range");
         let (w, b) = ((idx / 64) as usize, idx % 64);
         let prev = self.bits[w].fetch_or(1 << b, Ordering::Relaxed);
         let fresh = prev & (1 << b) == 0;
@@ -65,13 +75,13 @@ impl LiveBitmap {
         fresh
     }
 
-    /// Whether block `idx` is marked.
+    /// Whether bit `idx` is marked.
     pub fn is_marked(&self, idx: u64) -> bool {
-        assert!(idx < self.nblocks, "block {idx} out of bitmap range");
+        assert!(idx < self.nbits, "bit {idx} out of bitmap range");
         self.bits[(idx / 64) as usize].load(Ordering::Relaxed) & (1 << (idx % 64)) != 0
     }
 
-    /// Highest marked block index, if any block is marked (stripe merge).
+    /// Highest marked bit index, if any bit is marked (stripe merge).
     pub fn highest_marked(&self) -> Option<u64> {
         self.stripes
             .iter()
@@ -81,19 +91,19 @@ impl LiveBitmap {
             .map(|h| h - 1)
     }
 
-    /// Number of marked blocks (stripe merge).
+    /// Number of marked bits (stripe merge).
     pub fn marked_count(&self) -> u64 {
         self.stripes.iter().map(|s| s.marked.load(Ordering::Relaxed)).sum()
     }
 
-    /// Number of blocks covered.
+    /// Number of bits covered.
     pub fn len(&self) -> u64 {
-        self.nblocks
+        self.nbits
     }
 
-    /// True when the bitmap covers zero blocks.
+    /// True when the bitmap covers zero bits.
     pub fn is_empty(&self) -> bool {
-        self.nblocks == 0
+        self.nbits == 0
     }
 }
 

@@ -178,20 +178,28 @@ impl JnvmBackend {
         })
     }
 
-    /// Re-open the backend from the root map after a restart.
-    pub fn open(rt: &Jnvm, fa: bool) -> Result<JnvmBackend, JnvmError> {
-        let mut shards = Vec::new();
-        loop {
-            let name = format!("{SHARD_ROOT_PREFIX}{}", shards.len());
-            match rt.root_get_as::<PStringHashMap>(&name)? {
-                Some(m) => shards.push(m),
-                None => break,
-            }
+    /// Re-open the backend from the root map after a restart. The map
+    /// shards' volatile mirrors are rebuilt by `threads` workers (clamped
+    /// to the shard count), each scanning a contiguous run of shards.
+    pub fn open(rt: &Jnvm, fa: bool, threads: usize) -> Result<JnvmBackend, JnvmError> {
+        let mut roots = Vec::new();
+        while let Some(root) = rt.root_get(&format!("{SHARD_ROOT_PREFIX}{}", roots.len())) {
+            roots.push(root);
         }
-        if shards.is_empty() {
+        if roots.is_empty() {
             return Err(JnvmError::UnknownPersistedClass(
                 "no kvstore shards in root map".into(),
             ));
+        }
+        let chunks = jnvm_heap::par::partition_range(0, roots.len() as u64, threads);
+        let mut shards = Vec::with_capacity(roots.len());
+        for run in jnvm_heap::par::run_workers(chunks, |(lo, hi)| {
+            roots[lo as usize..hi as usize]
+                .iter()
+                .map(|root| root.get_as::<PStringHashMap>(rt))
+                .collect::<Result<Vec<_>, JnvmError>>()
+        }) {
+            shards.extend(run?);
         }
         let shard_locks = (0..shards.len()).map(|_| Mutex::new(())).collect();
         Ok(JnvmBackend {
@@ -362,6 +370,7 @@ impl Backend for JnvmBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jnvm::RecoveryOptions;
     use jnvm_heap::HeapConfig;
     use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
     use std::sync::Arc;
@@ -432,7 +441,7 @@ mod tests {
         let (rt2, _) = register_kvstore(JnvmBuilder::new())
             .open(Arc::clone(&pmem))
             .unwrap();
-        let be2 = JnvmBackend::open(&rt2, true).unwrap();
+        let be2 = JnvmBackend::open(&rt2, true, 1).unwrap();
         assert_eq!(be2.len(), THREADS * PER_THREAD);
         for t in 0..THREADS {
             for i in 0..PER_THREAD {
@@ -476,11 +485,54 @@ mod tests {
         let (rt2, _) = register_kvstore(JnvmBuilder::new())
             .open(Arc::clone(&pmem))
             .unwrap();
-        let be2 = JnvmBackend::open(&rt2, false).unwrap();
+        let be2 = JnvmBackend::open(&rt2, false, 1).unwrap();
         assert_eq!(be2.len(), 50);
         for i in 0..50 {
             let rec = be2.read(&format!("user{i}")).expect("record survived");
             assert_eq!(rec.fields[0].1, vec![i as u8; 16]);
+        }
+    }
+
+    /// Mirrors rebuilt on several workers hold exactly what the one-worker
+    /// rebuild holds, also when the worker count does not divide the map
+    /// shard count (5 shards on 2 and on 4 workers).
+    #[test]
+    fn parallel_mirror_rebuild_matches_sequential() {
+        const KEYS: usize = 200;
+        let (pmem, rt) = rt(32 << 20);
+        let be = JnvmBackend::create(&rt, 5, true).unwrap();
+        for i in 0..KEYS {
+            let rec = Record::ycsb(
+                &format!("user{i}"),
+                &[vec![i as u8; 24], format!("f{i}").into_bytes()],
+            );
+            assert!(be.store_full(&rec));
+        }
+        for i in (0..KEYS).step_by(7) {
+            assert!(be.remove(&format!("user{i}")));
+        }
+        be.sync();
+        drop(be);
+        drop(rt);
+        let mut oracle: Option<(usize, Vec<Option<Record>>)> = None;
+        for threads in [1, 2, 4] {
+            pmem.crash(&CrashPolicy::strict()).unwrap();
+            let (rt2, _) = register_kvstore(JnvmBuilder::new())
+                .open_with_options(Arc::clone(&pmem), RecoveryOptions::parallel(threads))
+                .unwrap();
+            let be2 = JnvmBackend::open(&rt2, true, threads).unwrap();
+            assert_eq!(be2.shards.len(), 5, "threads={threads}: map shards");
+            let seen = (
+                be2.len(),
+                (0..KEYS).map(|i| be2.read(&format!("user{i}"))).collect::<Vec<_>>(),
+            );
+            match &oracle {
+                None => {
+                    assert_eq!(seen.0, KEYS - KEYS.div_ceil(7));
+                    oracle = Some(seen);
+                }
+                Some(o) => assert_eq!(&seen, o, "threads={threads}: reopened contents"),
+            }
         }
     }
 

@@ -69,7 +69,8 @@ impl ShardedKv {
 
     /// Reopen every shard (concurrent per-shard recovery via
     /// [`ShardedJnvm::open_with_options`]) and re-anchor a backend + grid
-    /// on each. Returns one [`RecoveryReport`] per shard.
+    /// on each, rebuilding its map-shard mirrors on `opts.threads`
+    /// workers. Returns one [`RecoveryReport`] per shard.
     pub fn open(
         pmems: &[Arc<Pmem>],
         fa: bool,
@@ -79,7 +80,7 @@ impl ShardedKv {
         let (runtimes, reports) =
             ShardedJnvm::open_with_options(pmems, opts, register_kvstore)?;
         let kv = Self::stack(pmems, runtimes.into_shards(), grid_cfg, |rt| {
-            JnvmBackend::open(rt, fa)
+            JnvmBackend::open(rt, fa, opts.threads)
         })?;
         Ok((kv, reports))
     }

@@ -274,7 +274,7 @@ fn grid_reopen(pmem: &Arc<Pmem>) -> (Jnvm, JnvmBackend, RecoveryReport) {
     let (rt, report) = register_kvstore(JnvmBuilder::new())
         .open(Arc::clone(pmem))
         .expect("recovery");
-    let be = JnvmBackend::open(&rt, true).expect("backend reopen");
+    let be = JnvmBackend::open(&rt, true, 1).expect("backend reopen");
     (rt, be, report)
 }
 

@@ -268,7 +268,7 @@ fn grid_reopen(pmem: &Arc<Pmem>) -> (JnvmBackend, RecoveryReport) {
     let (rt, report) = register_kvstore(JnvmBuilder::new())
         .open(Arc::clone(pmem))
         .expect("recovery");
-    let be = JnvmBackend::open(&rt, true).expect("backend");
+    let be = JnvmBackend::open(&rt, true, 1).expect("backend");
     (be, report)
 }
 

@@ -43,7 +43,7 @@ fn jnvm_grid_survives_crash_with_full_fidelity() {
         let (rt2, _) = register_kvstore(JnvmBuilder::new())
             .open(Arc::clone(&pmem))
             .expect("recovery");
-        let backend2 = Arc::new(JnvmBackend::open(&rt2, fa).expect("backend reopen"));
+        let backend2 = Arc::new(JnvmBackend::open(&rt2, fa, 1).expect("backend reopen"));
         let grid2 = DataGrid::new(backend2, GridConfig::default());
         assert_eq!(grid2.len(), 200);
         for i in 0..200 {
@@ -110,7 +110,7 @@ fn concurrent_grid_load_then_crash() {
     let (rt2, _) = register_kvstore(JnvmBuilder::new())
         .open(Arc::clone(&pmem))
         .expect("recovery");
-    let backend2 = JnvmBackend::open(&rt2, false).expect("reopen");
+    let backend2 = JnvmBackend::open(&rt2, false, 1).expect("reopen");
     use jnvm_repro::kvstore::Backend as _;
     assert_eq!(backend2.len(), 200);
     for t in 0..4u32 {

@@ -43,9 +43,23 @@ use jnvm_repro::server::{
 
 /// The obs registry and mode switch are process-global: one test at a
 /// time.
-fn obs_lock() -> MutexGuard<'static, ()> {
+fn obs_lock() -> ObsLock {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    ObsLock { _guard: LOCK.lock().unwrap_or_else(|e| e.into_inner()) }
+}
+
+/// Holds the obs lock, and closes the test thread's fence books before
+/// releasing it. A test thread exits only *after* its lock guard drops,
+/// and the exit flushes the thread's pending fence/pwb counts into the
+/// registry; without this flush that late write would land inside the
+/// next test's measurement window.
+struct ObsLock {
+    _guard: MutexGuard<'static, ()>,
+}
+impl Drop for ObsLock {
+    fn drop(&mut self) {
+        obs::flush_thread_pending();
+    }
 }
 
 /// Flips obs into the given mode for the test's scope, then restores

@@ -27,11 +27,12 @@
 use std::sync::Arc;
 
 use jnvm_repro::faultsim::{strided_points, torture_count, torture_sweep};
-use jnvm_repro::heap::HeapConfig;
+use jnvm_repro::heap::{HeapConfig, PoolManager, CLASS_ID_POOL, SB_BUMP};
 use jnvm_repro::jnvm::{
     persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryMode, RecoveryOptions,
     RecoveryReport,
 };
+use jnvm_repro::jpdt::{register_jpdt, PBytes, PRefArray};
 use jnvm_repro::kvstore::{register_kvstore, DataGrid, GridConfig, JnvmBackend, Record};
 use jnvm_repro::pmem::{
     silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig,
@@ -275,7 +276,7 @@ fn grid_workload(t: usize, ctx: &GridCtx) {
     }
 }
 
-/// Churn images exercise the pooled-object claim table and the pool-slot
+/// Churn images exercise the pooled-slot claim bitmap and the pool-slot
 /// sweep: records live in slab slots, removes free them mid-flight.
 #[test]
 fn grid_churn_images_recover_identically_across_thread_counts() {
@@ -462,4 +463,158 @@ fn header_scan_diverges_from_full_gc_on_unreachable_garbage() {
         rt_scan.heap().read_header(leaked_block).is_valid_master(),
         "HeaderScanOnly keeps the leaked block"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Pool slots of every size class: the slot-claim bitmap's bounds.
+// ---------------------------------------------------------------------------
+
+/// Blob lengths that land in each pool size class: an 8-byte length word
+/// plus the bytes gives the 16/32/72/112/232-B slot payloads.
+const POOL_BLOB_LENS: [usize; 5] = [8, 24, 64, 104, 224];
+const BLOBS_PER_CLASS: usize = 12;
+
+/// A crashed image of pooled blobs of every size class, rooted through
+/// one reference array.
+struct PoolImage {
+    image: Vec<u8>,
+    /// Address and content of every referenced blob.
+    live: Vec<(u64, Vec<u8>)>,
+    /// Freed blobs.
+    dead: Vec<u64>,
+    /// The last slot of the last allocated block, live.
+    tail: u64,
+}
+
+fn pool_classes_image() -> PoolImage {
+    let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let cells = (POOL_BLOB_LENS.len() * BLOBS_PER_CLASS + 24) as u64;
+    let arr = PRefArray::new(&rt, cells).expect("array");
+    rt.root_put("blobs", &arr).expect("root");
+    // (address, content, referenced): every third blob of a class dies.
+    let mut blobs: Vec<(u64, Vec<u8>, bool)> = Vec::new();
+    for (c, len) in POOL_BLOB_LENS.iter().enumerate() {
+        for i in 0..BLOBS_PER_CLASS {
+            let data = vec![(c * BLOBS_PER_CLASS + i) as u8; *len];
+            let blob = PBytes::new(&rt, &data).expect("blob");
+            assert!(blob.is_pooled(), "{len}-byte blob must be pooled");
+            blobs.push((blob.addr(), data, i % 3 != 1));
+        }
+    }
+    // Fill a 16-byte-class block carved at the end of the allocated
+    // prefix, so the last live slot ends where the slot bitmap does.
+    let heap = rt.heap();
+    let tail = loop {
+        assert!(blobs.len() < cells as usize, "no tail block was carved");
+        let data = b"tail".repeat(2);
+        let addr = PBytes::new(&rt, &data).expect("blob").addr();
+        blobs.push((addr, data, true));
+        let end = heap.block_addr(heap.scan_end());
+        if heap.block_of_addr(addr) == heap.scan_end() - 1 && addr + 24 == end {
+            break addr;
+        }
+    };
+    for (i, (addr, _, referenced)) in blobs.iter().enumerate() {
+        if *referenced {
+            arr.set_ref(i as u64, Some(*addr));
+            arr.pwb_cell(i as u64);
+        }
+    }
+    rt.pfence();
+    for (addr, _, referenced) in &blobs {
+        if !referenced {
+            rt.free_addr(*addr);
+        }
+    }
+    rt.psync();
+    pmem.crash(&CrashPolicy::strict()).expect("crash");
+    let (live, dead): (Vec<_>, Vec<_>) = blobs.into_iter().partition(|b| b.2);
+    PoolImage {
+        image: snapshot(&pmem),
+        live: live.into_iter().map(|(a, d, _)| (a, d)).collect(),
+        dead: dead.into_iter().map(|(a, _, _)| a).collect(),
+        tail,
+    }
+}
+
+/// Free slots an independent walk of the recovered heap finds: the
+/// cleared slots of every pool block still standing.
+fn count_free_slots(rt: &Jnvm) -> u64 {
+    let heap = rt.heap();
+    let mut free = 0;
+    for idx in heap.data_start()..heap.scan_end() {
+        if heap.read_header(idx).id == CLASS_ID_POOL {
+            rt.pools().scan_block_slots(idx, |slot, _| {
+                if rt.pmem().read_u64(slot) == 0 {
+                    free += 1;
+                }
+            });
+        }
+    }
+    free
+}
+
+/// Live and dead slots of every size class, up to the last word of the
+/// allocated prefix: both modes at 1 and 4 threads keep and clear the same
+/// slots, rebuild the same free-slot queues, and never index past the
+/// slot-claim bitmap (which would panic).
+#[test]
+fn pool_slots_of_every_class_recover_identically_up_to_the_prefix_end() {
+    let img = pool_classes_image();
+    let (oracle_pmem, oracle_rt, _) =
+        open_restored(&img.image, register_jpdt, RecoveryMode::Full, 1);
+    let expected_free = count_free_slots(&oracle_rt);
+    assert!(expected_free > 0, "the image must leave free slots in kept blocks");
+    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
+        for threads in [1, 4] {
+            let tag = format!("{mode:?} threads={threads}");
+            let (pmem, rt, _) = open_restored(&img.image, register_jpdt, mode, threads);
+            let heap = rt.heap();
+            assert_eq!(heap.block_of_addr(img.tail), heap.scan_end() - 1, "{tag}: tail block");
+            assert!(
+                PoolManager::slot_bit(img.tail) < rt.pools().new_slot_bitmap().len(),
+                "{tag}: tail slot inside the slot bitmap"
+            );
+            for (addr, data) in &img.live {
+                assert!(rt.pools().read_mini(*addr).valid, "{tag}: live slot {addr:#x} lost");
+                assert_eq!(&PBytes::resurrect(&rt, *addr).to_vec(), data, "{tag}: content");
+            }
+            for addr in &img.dead {
+                let block = heap.block_of_addr(*addr);
+                if heap.read_header(block).id == CLASS_ID_POOL {
+                    assert_eq!(pmem.read_u64(*addr), 0, "{tag}: dead slot {addr:#x} kept");
+                } else {
+                    assert!(heap.read_header(block).is_free_or_slave(), "{tag}: dead block");
+                }
+            }
+            assert_eq!(rt.pools().free_slots(), expected_free, "{tag}: pool free slots");
+            assert_media_identical(&oracle_pmem, &pmem, &tag);
+        }
+    }
+}
+
+/// The bump pointer is written back lazily, so a crash can leave it short
+/// of a reachable pool block. Full recovery must still claim that block's
+/// live slots once each (they lie past the slot-claim bitmap), keep them
+/// and repair the bump, identically at every thread count.
+#[test]
+fn pool_slots_past_a_stale_bump_are_kept() {
+    let img = pool_classes_image();
+    let (_, _, intact) = open_restored(&img.image, register_jpdt, RecoveryMode::Full, 1);
+    let pmem = restore(&img.image);
+    let bump = pmem.read_u64(SB_BUMP);
+    pmem.write_u64(SB_BUMP, bump - 1);
+    pmem.drain_all();
+    let stale = snapshot(&pmem);
+
+    let oracle = assert_thread_equivalence(&stale, register_jpdt, RecoveryMode::Full, "stale-bump");
+    assert_eq!(oracle.live_objects, intact.live_objects, "each live slot claimed once");
+    let (_, rt, _) = open_restored(&stale, register_jpdt, RecoveryMode::Full, 1);
+    assert_eq!(rt.heap().stats().bump, bump, "bump repaired past the tail block");
+    for (addr, data) in &img.live {
+        assert_eq!(&PBytes::resurrect(&rt, *addr).to_vec(), data, "live blob {addr:#x}");
+    }
 }

@@ -116,7 +116,7 @@ fn reopen(pmem: &Arc<Pmem>) -> (jnvm_repro::jnvm::Jnvm, Arc<JnvmBackend>, DataGr
     let (rt, _) = register_kvstore(JnvmBuilder::new())
         .open(Arc::clone(pmem))
         .expect("reopen replica");
-    let be = Arc::new(JnvmBackend::open(&rt, true).expect("backend reopen"));
+    let be = Arc::new(JnvmBackend::open(&rt, true, 1).expect("backend reopen"));
     let grid = DataGrid::new(
         Arc::clone(&be) as Arc<dyn Backend>,
         GridConfig {

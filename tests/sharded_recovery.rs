@@ -137,7 +137,7 @@ fn concurrent_shard_recovery_is_bit_identical_to_sequential() {
         let (rt, _report) = register_kvstore(JnvmBuilder::new())
             .open_with_options(Arc::clone(p), RecoveryOptions::parallel(2))
             .unwrap_or_else(|e| panic!("shard {s} sequential recovery: {e}"));
-        let be = jnvm_repro::kvstore::JnvmBackend::open(&rt, true)
+        let be = jnvm_repro::kvstore::JnvmBackend::open(&rt, true, 2)
             .unwrap_or_else(|e| panic!("shard {s} backend reopen: {e}"));
         drop(be);
         drop(rt);
